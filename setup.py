@@ -2,23 +2,10 @@
 
 import os
 
-from setuptools import Extension, find_packages, setup
+from setuptools import find_packages, setup
 
 setup(
     name="repro-msplayer",
-    # Best-effort compiled event-kernel core: `optional` means a missing
-    # or broken C toolchain degrades the build to pure python instead of
-    # failing it; repro.net.calendar falls back at import when the
-    # extension is absent (REPRO_KERNEL=compiled then runs the python
-    # calendar queue).  Build in place with
-    # `python setup.py build_ext --inplace`.
-    ext_modules=[
-        Extension(
-            "repro.net._ckernel",
-            sources=["src/repro/net/_ckernel.c"],
-            optional=True,
-        )
-    ],
     version="0.2.0",
     description=(
         "Reproduction of 'MSPlayer: Multi-Source and multi-Path "
@@ -57,13 +44,6 @@ setup(
         "lint": [
             "mypy>=1.8",
             "ruff>=0.4",
-        ],
-        # The study-service front end (repro serve --fastapi).  The
-        # broker, workers, and stdlib http.server front end need none
-        # of this — the extra only upgrades the HTTP layer.
-        "serve": [
-            "fastapi>=0.100",
-            "uvicorn>=0.23",
         ],
     },
     entry_points={

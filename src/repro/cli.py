@@ -26,8 +26,6 @@ experiment needs zero CLI edits.  Every id additionally accepts:
 
 * ``--jobs`` / ``--ipc`` — execution backend and collection mode
   (uniform across ids; fig1/x3 fan out like everything else);
-* ``--kernel`` — event-kernel selection (``heapq`` / ``calendar`` /
-  ``compiled``); byte-identical results whichever dispatches;
 * ``--set key=value`` — generic schema-validated override (same
   strings the flags take: ``--set chunks=64KB,1MB``);
 * ``--grid key=v1,v2`` — sweep a param across study cells; all cells
@@ -60,7 +58,6 @@ from collections.abc import Sequence
 
 from .core.config import PlayerConfig
 from .errors import ConfigError
-from .net.calendar import KERNELS
 from .lint.cli import add_lint_parser, command_lint
 from .ext.adaptive import (
     AdaptiveSimDriver,
@@ -89,7 +86,6 @@ _RESERVED_DESTS = frozenset(
         "id",
         "jobs",
         "ipc",
-        "kernel",
         "save",
         "set",
         "grid",
@@ -162,16 +158,6 @@ def _experiment_parser(sub: argparse._SubParsersAction) -> None:
             "has workers write dense outcome columns into a shared-memory "
             "arena, 'pickle' sends full result objects through the pool "
             "pipe.  Byte-identical either way; sets REPRO_IPC for the run",
-        )
-        parser.add_argument(
-            "--kernel",
-            choices=KERNELS,
-            default=None,
-            help="event-kernel for every simulated environment: 'heapq' "
-            "(default), 'calendar' (bucketed queue), or 'compiled' (C "
-            "extension when built, else calendar).  Dispatch-order "
-            "identical — results are byte-identical whichever runs; "
-            "REPRO_KERNEL env overrides the default",
         )
         parser.add_argument(
             "--set",
@@ -367,12 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --gc: completed studies younger than this keep their "
         "result blobs (default: %(default)s)",
     )
-    serve.add_argument(
-        "--fastapi",
-        action="store_true",
-        help="serve through FastAPI/uvicorn (needs the 'serve' extra) "
-        "instead of the stdlib http.server",
-    )
 
     worker = sub.add_parser(
         "worker",
@@ -512,7 +492,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
         # engine construction also resolves the ipc mode, and the --ipc
         # override must already be in force while it does.
         from .sim.execution import resolve_engine
-        from .study.study import _ipc_override, _kernel_override
+        from .study.study import _ipc_override
 
         overrides, grid = _experiment_inputs(args)
         if args.backend == "service":
@@ -528,7 +508,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
                 )
         elif args.broker is not None:
             raise ConfigError("--broker requires --backend service")
-        with _ipc_override(args.ipc), _kernel_override(args.kernel):
+        with _ipc_override(args.ipc):
             if args.backend == "service":
                 from .serve.engine import ServiceEngine
 
@@ -681,14 +661,9 @@ def _command_serve(args: argparse.Namespace) -> int:
         return 0
     try:
         log(f"[serve] broker db {args.db}; listening on {args.host}:{args.port}")
-        if args.fastapi:
-            from .serve.app import serve_uvicorn
+        from .serve.httpd import run_server
 
-            serve_uvicorn(broker, args.host, args.port)
-        else:
-            from .serve.httpd import run_server
-
-            run_server(broker, args.host, args.port)
+        run_server(broker, args.host, args.port)
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         pass
     except ConfigError as exc:

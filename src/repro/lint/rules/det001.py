@@ -1,8 +1,8 @@
 """DET001 — no ambient nondeterminism on deterministic paths.
 
 The simulator's contract is that a trial is a pure function of its
-``(seed, label)`` pair: serial and process backends, pickle and shm
-IPC, and all three event kernels must produce byte-identical results.
+``(seed, label)`` pair: serial and process backends and pickle and
+shm IPC must produce byte-identical results.
 Any read of ambient entropy or wall-clock time inside the simulated
 world silently breaks that.  Randomness must come from
 :class:`repro.rng.RngFactory` substreams and time from the simulated
@@ -65,8 +65,8 @@ class AmbientNondeterminism(Rule):
     id = "DET001"
     title = "no ambient randomness or wall-clock reads on deterministic paths"
     rationale = (
-        "sim/net/core/cdn/ext results must be bit-identical across backends, "
-        "IPC modes, and kernels; entropy must flow from repro.rng and time "
+        "sim/net/core/cdn/ext results must be bit-identical across backends "
+        "and IPC modes; entropy must flow from repro.rng and time "
         "from the environment clock."
     )
 

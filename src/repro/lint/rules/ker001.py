@@ -2,13 +2,14 @@
 
 Two halves:
 
-* **Bypass** — the scheduler's internals (``env._scheduler``, the
-  cached ``_push`` bindings, ``_schedule_event``/``_schedule_resume``,
-  calendar bucket state, the timer pool) are owned by the kernel
-  modules (``net/env.py``, ``net/calendar.py``, ``net/events.py``,
-  ``net/simclock.py``).  Anything else reaching for them skips the
-  one-validation-per-schedule contract and couples itself to kernel
-  data layout that PRs rewrite (heap → calendar → compiled).
+* **Bypass** — the event queue's internals (the ``env._heap`` list,
+  ``_schedule_event``/``_schedule_resume``, the timer pool, the active
+  process) are owned by the kernel modules (``net/env.py``,
+  ``net/events.py``, ``net/simclock.py``).  Anything else reaching for
+  them skips the one-validation-per-schedule contract and couples
+  itself to the queue's entry layout.  The set also keeps the names of
+  retired queue layouts (``_scheduler``, ``_push``, calendar bucket
+  state) so code written against them stays flagged.
 
 * **Fast-lane advisory** — a bare ``yield env.timeout(...)`` statement
   allocates a fresh ``Timeout`` event per wait and discards it; per-
@@ -53,7 +54,7 @@ class KernelApiBypass(Rule):
     id = "KER001"
     title = "no scheduler-internal access; prefer the kernel fast lanes"
     rationale = (
-        "scheduler internals are owned by net/env|calendar|events|simclock; "
+        "scheduler internals are owned by net/env|events|simclock; "
         "external access skips delay validation and breaks when the kernel "
         "changes.  Discarded per-wait Timeouts should ride the pooled-timer "
         "or bare-callback fast lanes."

@@ -1,4 +1,4 @@
-"""The discrete-event environment: clock + pluggable scheduling queue.
+"""The discrete-event environment: clock + one binary-heap event queue.
 
 Usage::
 
@@ -16,11 +16,16 @@ Events scheduled at the same timestamp dispatch in (priority, FIFO)
 order, which keeps co-timed interactions deterministic — essential for
 reproducible experiments.
 
-The pending-event store is a pluggable *scheduler*
-(:mod:`repro.net.calendar`): the seed ``heapq`` kernel, a calendar
-queue, or the optional compiled core, selected per environment via
-``Environment(kernel=...)`` / ``REPRO_KERNEL`` / ``--kernel`` and
-dispatching in a bit-identical total order whichever is active.
+Pending entries live in one ``heapq`` list of tuples, ordered by
+``(time, priority, FIFO-counter)`` — the counter is unique, so the
+payload slots are never compared:
+
+* ``(time, priority, counter, event, None)`` — dispatch ``event``;
+* ``(time, priority, counter, event, process)`` — direct resume of
+  ``process`` with the already-processed ``event`` (dropped if stale);
+* ``(time, priority, counter, callback)`` — fast lane: call the bare
+  callable, no Event machinery at all (a 4-tuple: the fast lane does
+  not pay for the ``None`` process slot).
 
 Two scheduling lanes exist beside the classic event machinery:
 
@@ -39,10 +44,12 @@ Two scheduling lanes exist beside the classic event machinery:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
+from collections.abc import Callable, Generator, Iterable
+from heapq import heappop, heappush
+from math import inf
+from typing import Any
 
 from ..errors import ClockError, SimulationError
-from .calendar import CalendarScheduler, make_scheduler, resolve_kernel
 from .events import (
     _URGENT,
     NORMAL,
@@ -64,28 +71,15 @@ class EmptySchedule(SimulationError):
     """``run()`` exhausted the event queue before reaching ``until``."""
 
 
-# One environment exists per trial (not per event), and the calendar
-# kernel shadows ``call_later`` with an instance-level closure — which
-# requires a ``__dict__``, so __slots__ cannot apply here.
-class Environment:  # replint: disable=SLT001
-    """Owns simulated time and the pending-event scheduler."""
+class Environment:
+    """Owns simulated time and the pending-event heap."""
 
-    def __init__(self, start: float = 0.0, kernel: str | None = None) -> None:
+    __slots__ = ("_clock", "_heap", "_counter", "_active_process", "_timer_pool")
+
+    def __init__(self, start: float = 0.0) -> None:
         self._clock = SimClock(start)
-        #: Resolved kernel name ("heapq", "calendar", or "compiled").
-        self.kernel = resolve_kernel(kernel)
-        self._scheduler = make_scheduler(self.kernel)
-        # Bound hot-path methods, cached once (the scheduler is fixed
-        # for the environment's lifetime): every schedule saves an
-        # attribute chain, which is measurable at fast-lane rates.
-        self._push = self._scheduler.schedule
-        self._push_callback = self._scheduler.schedule_callback
-        if type(self._scheduler) is CalendarScheduler:
-            # Instance-level override: the calendar builds a call_later
-            # with the insert inlined (one call frame per schedule).
-            self.call_later = self._scheduler.make_call_later(
-                self._clock, NORMAL, ClockError
-            )
+        self._heap: list[tuple[Any, ...]] = []
+        self._counter = 0  # FIFO tie-breaker; also counts every schedule
         self._active_process: Process | None = None
         self._timer_pool: list[PooledTimeout] = []
 
@@ -104,7 +98,7 @@ class Environment:  # replint: disable=SLT001
     @property
     def scheduled_count(self) -> int:
         """Total entries ever scheduled (the FIFO counter's value)."""
-        return self._scheduler._counter
+        return self._counter
 
     # -- factories ------------------------------------------------------------
 
@@ -116,15 +110,15 @@ class Environment:  # replint: disable=SLT001
         """An event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def process(self, generator: Generator) -> Process:
+    def process(self, generator: Generator[Any, Any, Any]) -> Process:
         """Start a new process from a generator."""
         return Process(self, generator)
 
-    def any_of(self, events) -> AnyOf:
+    def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Condition event firing when any of ``events`` fires."""
         return AnyOf(self, events)
 
-    def all_of(self, events) -> AllOf:
+    def all_of(self, events: Iterable[Event]) -> AllOf:
         """Condition event firing when all of ``events`` have fired."""
         return AllOf(self, events)
 
@@ -134,24 +128,19 @@ class Environment:  # replint: disable=SLT001
         """Schedule a bare ``callback()`` at absolute time ``when``.
 
         No Event is allocated; the callback cannot be waited on or
-        cancelled.  One validation per schedule happens here (the
-        scheduler itself never re-checks).
+        cancelled.  One validation per schedule happens here.
         """
         if when < self._clock._now:
             raise ClockError(f"cannot schedule a callback at {when} < now")
-        self._push_callback(when, NORMAL, callback)
+        self._counter = counter = self._counter + 1
+        heappush(self._heap, (when, NORMAL, counter, callback))
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule a bare ``callback()`` after ``delay`` seconds.
-
-        When the pure-python calendar kernel is active this method is
-        shadowed by an instance-level closure with the scheduler insert
-        inlined (:meth:`CalendarScheduler.make_call_later`) — same
-        contract, one call frame fewer.
-        """
+        """Schedule a bare ``callback()`` after ``delay`` seconds."""
         if delay < 0:
             raise ClockError(f"cannot schedule a callback {delay} seconds in the past")
-        self._push_callback(self._clock._now + delay, NORMAL, callback)
+        self._counter = counter = self._counter + 1
+        heappush(self._heap, (self._clock._now + delay, NORMAL, counter, callback))
 
     def pooled_timeout(self, delay: float, value: object = None) -> PooledTimeout:
         """A timeout event drawn from the environment's free pool.
@@ -172,7 +161,8 @@ class Environment:  # replint: disable=SLT001
             timer.delay = delay
         else:
             timer = PooledTimeout(self, delay, value)
-        self._push(self._clock._now + delay, NORMAL, timer)
+        self._counter = counter = self._counter + 1
+        heappush(self._heap, (self._clock._now + delay, NORMAL, counter, timer, None))
         return timer
 
     # -- scheduling (internal API used by events) ----------------------------
@@ -181,7 +171,8 @@ class Environment:  # replint: disable=SLT001
         # Delay validation is the *caller's* job (one validation per
         # schedule): Timeout.__init__ checks user-supplied delays; every
         # other internal caller schedules at "now".
-        self._push(self._clock._now + delay, priority, event)
+        self._counter = counter = self._counter + 1
+        heappush(self._heap, (self._clock._now + delay, priority, counter, event, None))
 
     def _schedule_resume(self, process: Process, event: Event) -> None:
         """Urgently redeliver a processed ``event`` straight to ``process``.
@@ -190,27 +181,28 @@ class Environment:  # replint: disable=SLT001
         its callbacks at its own dispatch; this entry only carries its
         outcome to one late waiter.
         """
-        self._scheduler.schedule_resume(self._clock._now, _URGENT, event, process)
+        self._counter = counter = self._counter + 1
+        heappush(self._heap, (self._clock._now, _URGENT, counter, event, process))
 
     # -- execution ------------------------------------------------------------
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._scheduler.peek()
+        return self._heap[0][0] if self._heap else inf
 
     def step(self) -> None:
         """Dispatch exactly one event (advancing the clock to it)."""
-        scheduler = self._scheduler
-        if not scheduler._n:
+        if not self._heap:
             raise EmptySchedule("no scheduled events")
-        entry = scheduler.pop()
+        entry = heappop(self._heap)
         self._clock.advance_to(entry[0])
         self._dispatch(entry)
 
-    def _dispatch(self, entry: tuple) -> None:
-        """Deliver one popped entry.  The run loops inline this body —
-        keep the three copies in sync (the duplication buys the kernel
-        its single largest constant-factor win; see DESIGN.md)."""
+    def _dispatch(self, entry: tuple[Any, ...]) -> None:
+        """Deliver one popped entry.  The drain loop in :meth:`run`
+        inlines this body — keep the two copies in sync (the duplication
+        buys the kernel its single largest constant-factor win; see
+        DESIGN.md)."""
         if len(entry) == 4:
             entry[3]()  # fast lane: a bare callback, no event at all
             return
@@ -257,32 +249,11 @@ class Environment:  # replint: disable=SLT001
             # body is inlined (one _dispatch call per event would cost
             # ~10% of the fast lane's throughput) and hot attributes
             # are cached in locals.  Mirror of _dispatch — keep in sync.
-            scheduler = self._scheduler
+            heap = self._heap
             clock = self._clock
-            pop = scheduler.pop
             pool = self._timer_pool
-            # For the pure-python calendar the pop itself is inlined as
-            # well (cursor bucket access, lazy sort): one method call
-            # per event is the next-largest constant after _dispatch.
-            inline_buckets = type(scheduler) is CalendarScheduler
-            if inline_buckets:
-                buckets = scheduler._buckets
-                dirty = scheduler._dirty
-                advance = scheduler._advance
-            while scheduler._n:
-                if inline_buckets:
-                    cursor = scheduler._cursor
-                    bucket = buckets[cursor]
-                    if bucket:
-                        if dirty[cursor]:
-                            bucket.sort(reverse=True)
-                            dirty[cursor] = False
-                    else:
-                        bucket = advance()
-                    scheduler._n -= 1
-                    entry = bucket.pop()
-                else:
-                    entry = pop()
+            while heap:
+                entry = heappop(heap)
                 when = entry[0]
                 if when < clock._now:
                     raise ClockError(
@@ -327,16 +298,15 @@ class Environment:  # replint: disable=SLT001
                 if not sentinel.ok:
                     raise sentinel._value  # type: ignore[misc]
                 return sentinel.value
-            sentinel.callbacks.append(_capture)
-            scheduler = self._scheduler
+            sentinel.callbacks.append(_capture)  # type: ignore[union-attr]
+            heap = self._heap
             clock = self._clock
-            pop = scheduler.pop
             while not result:
-                if not scheduler._n:
+                if not heap:
                     raise EmptySchedule(
                         "event queue drained before the awaited event fired"
                     )
-                entry = pop()
+                entry = heappop(heap)
                 clock.advance_to(entry[0])
                 self._dispatch(entry)
             if not sentinel._ok:
@@ -347,12 +317,10 @@ class Environment:  # replint: disable=SLT001
         deadline = float(until)
         if deadline < self.now:
             raise ClockError(f"cannot run until {deadline} < now {self.now}")
-        scheduler = self._scheduler
+        heap = self._heap
         clock = self._clock
-        peek = scheduler.peek
-        pop = scheduler.pop
-        while scheduler._n and peek() <= deadline:
-            entry = pop()
+        while heap and heap[0][0] <= deadline:
+            entry = heappop(heap)
             clock.advance_to(entry[0])
             self._dispatch(entry)
         self._clock.advance_to(deadline)

@@ -15,8 +15,8 @@ package opens the workload axis the ROADMAP's north star asks for.  A
   columnar on :class:`~repro.ext.population.PopulationBatch`.
 
 :mod:`~repro.scenarios.experiment` binds them into a shared-world
-population run (one work unit per replicate, same engines/IPC/kernels
-as every other campaign), and :mod:`~repro.scenarios.experiments`
+population run (one work unit per replicate, same engines/IPC as every
+other campaign), and :mod:`~repro.scenarios.experiments`
 registers the ``x8``/``x9`` scenario experiments so the Study API,
 grid cache, service backend, CLI, and archives come for free.
 """

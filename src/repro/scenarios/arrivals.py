@@ -17,8 +17,8 @@ rectangular — while preserving the curve's shape in the arrival
 density.
 
 Everything derives from :class:`~repro.rng.RngFactory` streams; the
-same ``(seed, spec)`` pair produces the same times on every backend and
-kernel (the scenario determinism wall holds this to byte identity).
+same ``(seed, spec)`` pair produces the same times on every backend
+(the scenario determinism wall holds this to byte identity).
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 JSON over ``http.server`` — zero dependencies, which is what lets the
 tier-1 tests and the CI e2e job run a real broker + workers over real
-sockets on any checkout.  :mod:`repro.serve.app` offers the same
-surface on FastAPI for deployments that installed the ``serve`` extra.
+sockets on any checkout.
 
 Endpoints (all JSON; errors are ``{"error": msg}`` with a 4xx code):
 

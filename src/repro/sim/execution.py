@@ -52,7 +52,6 @@ from typing import ClassVar, Protocol, runtime_checkable
 
 from ..core.config import PlayerConfig
 from ..errors import ConfigError
-from ..net.calendar import resolve_kernel, set_default_kernel
 from .driver import MSPlayerDriver, SessionOutcome
 from .profiles import NetworkProfile
 from .scenario import Scenario, ScenarioConfig
@@ -242,18 +241,6 @@ def run_unit(spec: WorkSpec) -> object:
     return spec.run()
 
 
-def _run_scoped(kernel: str, fn: Callable[[object], object], item: object) -> object:
-    """Worker-side wrapper pinning the parent's event-kernel choice.
-
-    Worker pools are cached across campaigns and fork with whatever
-    environment the *first* campaign saw, so ``REPRO_KERNEL`` cannot be
-    trusted inside a worker — the parent resolves the kernel and ships
-    it with every task instead.
-    """
-    set_default_kernel(kernel)
-    return fn(item)
-
-
 def run_unit_into_arena(
     arena_name: str, rows: int, item: tuple[int, WorkSpec]
 ) -> object:
@@ -434,7 +421,6 @@ class ProcessEngine:
         # The pool is sized (and keyed) by self.jobs, not the batch:
         # idle workers are harmless, and campaigns with varying trial
         # counts then reuse one pool instead of forking per count.
-        fn = partial(_run_scoped, resolve_kernel(), fn)
         try:
             pool = _shared_pool(self.jobs)
             return list(pool.map(fn, items, chunksize=chunksize))

@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING, Any, cast
 import numpy as np
 
 from ..errors import ConfigError
-from ..net.calendar import resolve_kernel, set_default_kernel
 from ..sim.campaign import run_together
 from ..sim.execution import ExecutionEngine, resolve_engine
 from .registry import ExperimentDef, get_experiment
@@ -74,26 +73,6 @@ def _ipc_override(ipc: str | None) -> Iterator[None]:
             os.environ.pop("REPRO_IPC", None)
         else:
             os.environ["REPRO_IPC"] = previous
-
-
-@contextmanager
-def _kernel_override(kernel: str | None) -> Iterator[None]:
-    """Scope a ``--kernel``-style event-kernel override to one run.
-
-    Pins the in-process default (which every ``Environment()`` consults
-    before ``REPRO_KERNEL``) and restores it afterwards.  The process
-    backends re-pin per task from the parent's resolved kernel
-    (:func:`repro.sim.execution._run_scoped`), so the override reaches
-    cached worker pools too.
-    """
-    if kernel is None:
-        yield
-        return
-    previous = set_default_kernel(resolve_kernel(kernel))
-    try:
-        yield
-    finally:
-        set_default_kernel(previous)
 
 
 def _study_runner(
@@ -343,18 +322,14 @@ class Study:
         jobs: int | str | ExecutionEngine | None = None,
         ipc: str | None = None,
         engine: ExecutionEngine | None = None,
-        kernel: str | None = None,
         cache: "str | StudyCache | None" = None,
     ) -> StudyResult:
         """Execute every cell as one merged engine submission.
 
         ``jobs``/``ipc`` take the usual values (``resolve_engine`` /
         ``REPRO_IPC`` semantics); an explicit ``engine`` wins over
-        ``jobs``; ``kernel`` scopes an event-kernel override
-        (``REPRO_KERNEL`` semantics) to this run.  Cells are
-        byte-identical to running each alone — the grid only changes
-        scheduling, never outcomes (and the kernels are dispatch-order
-        identical, so neither does the kernel).
+        ``jobs``.  Cells are byte-identical to running each alone — the
+        grid only changes scheduling, never outcomes.
 
         ``cache`` names a content-addressed cell cache directory (a
         :class:`~repro.study.cache.StudyCache` also works; ``None``
@@ -364,7 +339,7 @@ class Study:
         submits the delta cells — and every fresh cell is stored back.
         Cached and fresh cells are bit-identical (the archive round
         trip is exact), so the cache changes cost, never results.  The
-        cache key deliberately excludes the backend/ipc/kernel choice:
+        cache key deliberately excludes the backend/ipc choice:
         those are byte-identity-equivalent by the determinism wall, so
         a cache written under one serves runs under any other.
         Accounting lands in ``StudyResult.cache_info``.
@@ -374,7 +349,7 @@ class Study:
         takes the whole study: the declarative description ships to a
         broker, a worker fleet executes the cells, and the reassembled
         result is byte-identical to a local run.  The local ``cache``/
-        ``ipc``/``kernel`` knobs don't apply there — the broker owns
+        ``ipc`` knobs don't apply there — the broker owns
         the cache and each worker its execution details (results are
         invariant to both by the determinism wall).
         """
@@ -386,7 +361,7 @@ class Study:
         if delegated is not None:
             return delegated(self)
         study_cache = resolve_cache(cache)
-        with _ipc_override(ipc), _kernel_override(kernel):
+        with _ipc_override(ipc):
             cell_overrides = self.cells()
             plans = []
             cell_params = []
@@ -459,7 +434,6 @@ def run_experiment(
     experiment_id: str,
     jobs: int | str | ExecutionEngine | None = None,
     ipc: str | None = None,
-    kernel: str | None = None,
     cache: "str | StudyCache | None" = None,
     **params: Any,
 ):
@@ -472,7 +446,7 @@ def run_experiment(
     """
     return (
         Study(experiment_id, **params)
-        .run(jobs=jobs, ipc=ipc, kernel=kernel, cache=cache)
+        .run(jobs=jobs, ipc=ipc, cache=cache)
         .only()
         .result
     )

@@ -61,6 +61,20 @@ class TestParser:
             args = build_parser().parse_args(argv)
             assert args.id == key
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "fig2", "--kernel", "heapq"],
+            ["serve", "--fastapi"],
+        ],
+        ids=["experiment-kernel", "serve-fastapi"],
+    )
+    def test_retired_flags_rejected(self, argv):
+        """One event kernel and one HTTP front end: the flags that chose
+        between alternatives are gone, and a stale script fails loudly."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_population_knobs_parse(self):
         args = build_parser().parse_args(
             ["experiment", "x6", "--replicates", "4", "--clients", "20"]

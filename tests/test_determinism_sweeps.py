@@ -126,7 +126,7 @@ class TestPaperScaleSweeps:
 
 
 # ---------------------------------------------------------------------------
-# Event-kernel equality: REPRO_KERNEL must never change a single byte
+# Every registered paper experiment, serial vs process
 # ---------------------------------------------------------------------------
 
 #: Small per-id overrides so the all-ten wall stays affordable; the
@@ -144,56 +144,38 @@ _MINI_PARAMS: dict[str, dict] = {
     "x6": {"replicates": 2, "clients": 4},
 }
 
-#: Kernels under test: the seed heapq is the reference; "compiled"
-#: resolves to the C core when built and degrades to the pure-python
-#: calendar otherwise (resolve_kernel semantics), so the leg is
-#: meaningful either way.
-SWEEP_KERNELS = ("calendar", "compiled")
+
+def _run_mini(experiment_id, jobs):
+    return run_experiment(experiment_id, jobs=jobs, **_MINI_PARAMS[experiment_id])
 
 
-def _run_mini(experiment_id, jobs, kernel=None):
-    return run_experiment(experiment_id, jobs=jobs, kernel=kernel, **_MINI_PARAMS[experiment_id])
-
-
-class TestKernelEquality:
-    """fig3/fig5/table1 minis: calendar == heapq, serial and process."""
+class TestMiniCrossBackend:
+    """fig3/fig5/table1 minis: the paper-figure experiments' tier-1
+    stand-ins for the slow wall below."""
 
     @pytest.mark.parametrize("experiment_id", ["fig3", "fig5", "table1"])
-    @pytest.mark.parametrize("kernel", SWEEP_KERNELS)
-    def test_mini_serial(self, experiment_id, kernel):
-        reference = _run_mini(experiment_id, jobs="serial", kernel="heapq")
-        _assert_experiments_identical(
-            _run_mini(experiment_id, jobs="serial", kernel=kernel), reference
-        )
+    def test_mini_serial_rerun(self, experiment_id):
+        """A second serial run in the same interpreter is byte-identical:
+        no module-level state leaks from one campaign into the next."""
+        reference = _run_mini(experiment_id, jobs="serial")
+        _assert_experiments_identical(_run_mini(experiment_id, jobs="serial"), reference)
 
-    @pytest.mark.parametrize("experiment_id", ["fig3"])
-    def test_mini_process(self, experiment_id):
-        """The kernel pin must reach (possibly pre-forked, cached) pool
-        workers: the engines ship it per task, not via the environ."""
-        reference = _run_mini(experiment_id, jobs="serial", kernel="heapq")
-        _assert_experiments_identical(
-            _run_mini(experiment_id, jobs=ProcessEngine(2, ipc="shm"), kernel="calendar"),
-            reference,
-        )
+    @pytest.mark.parametrize("experiment_id", ["fig3", "fig5", "table1"])
+    @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
+    def test_mini_process(self, experiment_id, make_jobs):
+        reference = _run_mini(experiment_id, jobs="serial")
+        _assert_experiments_identical(_run_mini(experiment_id, jobs=make_jobs()), reference)
 
 
 @pytest.mark.slow
-class TestKernelEqualityAllExperiments:
-    """Every registered experiment, byte-identical across kernels on
-    both the serial and process backends."""
-
-    @pytest.mark.parametrize("experiment_id", sorted(_MINI_PARAMS))
-    @pytest.mark.parametrize("kernel", SWEEP_KERNELS)
-    def test_serial(self, experiment_id, kernel):
-        reference = _run_mini(experiment_id, jobs="serial", kernel="heapq")
-        _assert_experiments_identical(
-            _run_mini(experiment_id, jobs="serial", kernel=kernel), reference
-        )
+class TestAllExperimentsCrossBackend:
+    """Every registered paper experiment, byte-identical on the serial
+    and process backends."""
 
     @pytest.mark.parametrize("experiment_id", sorted(_MINI_PARAMS))
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_process(self, experiment_id, make_jobs):
-        reference = _run_mini(experiment_id, jobs="serial", kernel="heapq")
+        reference = _run_mini(experiment_id, jobs="serial")
         _assert_experiments_identical(
-            _run_mini(experiment_id, jobs=make_jobs(), kernel="calendar"), reference
+            _run_mini(experiment_id, jobs=make_jobs()), reference
         )

@@ -1,13 +1,13 @@
-"""Nightly perf floor: the kernel rewrite must stay a rewrite.
+"""Nightly perf floor: the bare-callback fast lane must stay fast.
 
 The committed trajectory lives in ``benchmarks/results/
 BENCH_perf_core.json``; this wall is the tripwire that fails a nightly
-run (``pytest -m slow``) if the calendar fast lane regresses back
-toward the seed kernel's throughput.  Floors are live same-machine
-ratios, set well under the recorded margins (~2.5x and ~1.5x at the
-time of writing) so shared-runner noise cannot trip them, while a real
-regression — a lost inline, an accidental allocation on the hot path —
-still does.
+run (``pytest -m slow``) if the fast lane regresses back toward the
+seed shape's throughput (one generator process per timer chain, a
+fresh ``Timeout`` per wait).  The floor is a live same-machine ratio,
+set well under the recorded ~2x margin so shared-runner noise cannot
+trip it, while a real regression — a lost inline, an accidental
+allocation on the hot path — still does.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro.net.calendar import compiled_core
 from repro.net.env import Environment
 
 pytestmark = pytest.mark.slow
@@ -36,8 +35,8 @@ class _Ticker:
             self.call_later(0.001, self)
 
 
-def _callback_storm(kernel: str, chains: int = 50, depth: int = 1000) -> float:
-    env = Environment(kernel=kernel)
+def _callback_storm(chains: int = 50, depth: int = 1000) -> float:
+    env = Environment()
     for _ in range(chains):
         env.call_later(0.001, _Ticker(env.call_later, depth))
     start = time.perf_counter()
@@ -45,12 +44,12 @@ def _callback_storm(kernel: str, chains: int = 50, depth: int = 1000) -> float:
     return env.scheduled_count / (time.perf_counter() - start)
 
 
-def _generator_storm(kernel: str, procs: int = 50, timeouts: int = 1000) -> float:
+def _generator_storm(procs: int = 50, timeouts: int = 1000) -> float:
     def worker(env, n):
         for _ in range(n):
             yield env.timeout(0.001)
 
-    env = Environment(kernel=kernel)
+    env = Environment()
     for _ in range(procs):
         env.process(worker(env, timeouts))
     start = time.perf_counter()
@@ -62,21 +61,10 @@ def _best_of(fn, repeats: int = 3) -> float:
     return max(fn() for _ in range(repeats))
 
 
-def test_calendar_fast_lane_beats_seed_shape():
-    """Calendar + fast lane vs the seed shape (heapq + generator
-    timeouts), live on this machine: the rewrite's headline ratio."""
-    seed_shape = _best_of(lambda: _generator_storm("heapq"))
-    rewrite = _best_of(lambda: _callback_storm("calendar"))
-    ratio = rewrite / seed_shape
-    assert ratio >= 1.5, f"calendar fast lane regressed to {ratio:.2f}x the seed shape"
-
-
-def test_compiled_core_beats_pure_python():
-    """The compiled calendar must out-dispatch the pure-python one (it
-    exists for no other reason)."""
-    if compiled_core() is None:
-        pytest.skip("compiled core not built on this machine")
-    pure = _best_of(lambda: _callback_storm("calendar"))
-    compiled = _best_of(lambda: _callback_storm("compiled"))
-    ratio = compiled / pure
-    assert ratio >= 1.1, f"compiled core only {ratio:.2f}x the pure-python calendar"
+def test_fast_lane_beats_seed_shape():
+    """Heap + bare-callback fast lane vs the seed shape (heap + generator
+    timeouts), live on this machine: the fast lane's headline ratio."""
+    seed_shape = _best_of(_generator_storm)
+    fast_lane = _best_of(_callback_storm)
+    ratio = fast_lane / seed_shape
+    assert ratio >= 1.5, f"fast lane regressed to {ratio:.2f}x the seed shape"

@@ -321,6 +321,41 @@ class TestKER001:
         ker = [f for f in findings if f.rule == "KER001"]
         assert len(ker) == 2
 
+    @pytest.mark.parametrize(
+        "attr",
+        [
+            # the heap kernel's own internals
+            "_heap",
+            "_schedule_resume",
+            "_timer_pool",
+            "_active_process",
+            # retired queue layouts stay flagged
+            "_push",
+            "_buckets",
+        ],
+    )
+    def test_flags_each_internal_name(self, tmp_path, attr):
+        findings = lint_snippet(
+            tmp_path,
+            "cdn/mod.py",
+            f"""
+            def peek(env):
+                return env.{attr}
+            """,
+        )
+        assert [f.rule for f in findings if f.rule == "KER001"] == ["KER001"]
+
+    def test_retired_calendar_module_is_not_kernel_internal(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "net/calendar.py",
+            """
+            def drain(env):
+                return env._heap.pop()
+            """,
+        )
+        assert "KER001" in rules_hit(findings)
+
     def test_flags_bare_yield_timeout(self, tmp_path):
         findings = lint_snippet(
             tmp_path,

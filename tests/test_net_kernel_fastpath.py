@@ -8,13 +8,23 @@ These pin the microbehaviour the perf work must not change:
   against the old clone-event implementation: the resume runs first,
   the interrupt lands at the process's next wait point;
 * the link's analytic slow-start schedule reproduces the doubling
-  timeline the per-exchange pacer process used to produce.
+  timeline the per-exchange pacer process used to produce;
+* the event heap dispatches every lane — events, direct resumes,
+  bare callbacks — in exact ``(time, priority, FIFO-counter)`` order,
+  checked against a ``sorted()`` reference on random schedules.
 """
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ClockError, ConfigError, Interrupt
 from repro.net.bandwidth import ConstantBandwidth
+from repro.net.env import EmptySchedule, Environment
+from repro.net.events import _URGENT, NORMAL
 from repro.net.link import Link
 
 
@@ -371,7 +381,6 @@ class TestPooledTimers:
     def test_counter_parity_with_plain_timeout(self):
         """One counter bump per pooled timer — the same schedule count a
         plain Timeout produces, so dispatch order never shifts."""
-        from repro.net.env import Environment
 
         def run(pooled):
             env = Environment()
@@ -388,3 +397,294 @@ class TestPooledTimers:
             return env.scheduled_count
 
         assert run(pooled=True) == run(pooled=False)
+
+
+def _armed_event(env, on_dispatch):
+    """A succeeded event that is *not* yet queued, with one callback."""
+    event = env.event()
+    event._ok, event._value = True, None
+    event.callbacks.append(on_dispatch)
+    return event
+
+
+class _Waiter:
+    """Duck-typed process for the direct-resume lane: records resumes."""
+
+    __slots__ = ("_waiting_on", "_resume")
+
+    def __init__(self, event, on_resume):
+        self._waiting_on = event
+        self._resume = on_resume
+
+
+class TestHeapOrder:
+    def test_empty_peek_is_inf(self, env):
+        assert env.peek() == math.inf
+
+    def test_empty_step_raises(self, env):
+        with pytest.raises(EmptySchedule):
+            env.step()
+
+    def test_counter_counts_every_lane(self, env):
+        env._schedule_event(env.event(), 1.0)
+        env._schedule_resume(_Waiter(None, None), env.event())
+        env.call_at(1.0, lambda: None)
+        env.pooled_timeout(1.0)
+        assert env.scheduled_count == 4
+
+    def test_entry_shapes(self, env):
+        event = env.event()
+        process = _Waiter(None, None)
+        env._schedule_event(event, 1.0)
+        env._schedule_resume(process, event)
+        env.call_at(3.0, print)
+        assert sorted(env._heap) == [
+            (0.0, _URGENT, 2, event, process),
+            (1.0, NORMAL, 1, event, None),
+            (3.0, NORMAL, 3, print),
+        ]
+
+    def test_infinite_times_pend_forever(self, env):
+        never = env.timeout(math.inf)
+        fired = []
+        env.call_at(1.0, lambda: fired.append(env.now))
+        assert env.peek() == 1.0
+        env.step()
+        assert fired == [1.0]
+        assert env.peek() == math.inf
+        env.run(until=1e300)
+        assert not never.processed and env.now == 1e300
+
+    def test_equal_times_fifo_within_priority(self, env):
+        order = []
+        for index in range(20):
+            event = _armed_event(env, lambda _, i=index: order.append(("normal", i)))
+            env._schedule_event(event, 5.0, NORMAL)
+        for index in range(20):
+            event = _armed_event(env, lambda _, i=index: order.append(("urgent", i)))
+            env._schedule_event(event, 5.0, _URGENT)
+        env.run()
+        assert order == [("urgent", i) for i in range(20)] + [
+            ("normal", i) for i in range(20)
+        ]
+
+    def test_far_future_entries_dispatch_in_order(self, env):
+        times = [1000.0 + i * 7.0 for i in range(50)]
+        fired = []
+        for when in reversed(times):
+            env.call_at(when, lambda: fired.append(env.now))
+        env.run()
+        assert fired == times
+
+    def test_infinite_entries_step_in_fifo_order(self, env):
+        """Entries at ``inf`` tie on time, so they still leave the heap
+        in FIFO order when stepped explicitly."""
+        fired = []
+        for index in range(5):
+            env.call_at(math.inf, lambda i=index: fired.append(i))
+        assert env.peek() == math.inf
+        for _ in range(5):
+            env.step()
+        assert fired == [0, 1, 2, 3, 4] and env.now == math.inf
+
+    def test_pooled_timeout_entry_shape(self, env):
+        timer = env.pooled_timeout(2.0)
+        assert env._heap == [(2.0, NORMAL, 1, timer, None)]
+
+
+class TestOneKernel:
+    """The heap is the only event queue: no selection knob survives."""
+
+    def test_environment_takes_no_kernel_argument(self):
+        with pytest.raises(TypeError):
+            Environment(kernel="heapq")
+
+    def test_repro_kernel_env_var_is_ignored(self, monkeypatch):
+        def trace():
+            env = Environment()
+            order = []
+            for index in range(10):
+                env.call_at(float(index % 3), lambda i=index: order.append(i))
+            env.run()
+            return order, env.scheduled_count
+
+        reference = trace()
+        monkeypatch.setenv("REPRO_KERNEL", "calendar")
+        assert trace() == reference
+
+
+#: Delays mixing dense co-timed ties, tiny/huge magnitudes, and +inf.
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, 0.0, 1e-12, 0.5, 1.0, 1.0, 999.0, 1e6, math.inf]),
+    st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+)
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            _DELAYS,
+            st.sampled_from([_URGENT, NORMAL]),
+            st.sampled_from(["event", "resume", "callback"]),
+        ),
+        st.tuples(st.just("step")),
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_OPS)
+def test_dispatch_order_matches_sorted_reference(ops):
+    """Random interleavings of pushes (every lane) and single steps
+    dispatch exactly as a ``sorted()`` ``(time, priority, counter)``
+    queue would: the heap's whole ordering contract."""
+    env = Environment()
+    dispatched: list[tuple] = []
+    pending: list[tuple] = []
+    expected: list[tuple] = []
+    for op in ops:
+        if op[0] == "step":
+            if pending:
+                pending.sort()
+                expected.append(pending.pop(0))
+                env.step()
+            continue
+        _, delay, priority, lane = op
+        counter = env.scheduled_count + 1
+        when = env.now + delay
+        if lane == "event":
+            record = lambda _, c=counter: dispatched.append((env.now, c))
+            env._schedule_event(_armed_event(env, record), delay, priority)
+        elif lane == "resume":
+            when, priority = env.now, _URGENT
+            event = env.event()
+            record = lambda _, c=counter: dispatched.append((env.now, c))
+            env._schedule_resume(_Waiter(event, record), event)
+        else:
+            priority = NORMAL
+            env.call_at(when, lambda c=counter: dispatched.append((env.now, c)))
+        pending.append((when, priority, counter))
+    env.run()
+    expected.extend(sorted(pending))
+    assert env.scheduled_count == len(expected)
+    assert dispatched == [(when, counter) for when, _, counter in expected]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    first=st.floats(min_value=0.0, max_value=10.0),
+    far=st.floats(min_value=100.0, max_value=1e6),
+    boundary=st.floats(min_value=10.0, max_value=99.0),
+    late_delay=st.floats(min_value=0.0, max_value=500.0),
+)
+def test_run_until_boundary(first, far, boundary, late_delay):
+    """``run(until)`` stops the clock exactly at the boundary, and an
+    entry scheduled after it still dispatches in time order."""
+    env = Environment()
+    order: list[tuple] = []
+    env.call_at(first, lambda: order.append(("first", env.now)))
+    env.call_at(far, lambda: order.append(("far", env.now)))
+    env.call_at(far * 2.0, lambda: order.append(("farther", env.now)))
+    env.run(until=boundary)
+    assert env.now == boundary and order == [("first", first)]
+    env.call_later(late_delay, lambda: order.append(("late", env.now)))
+    env.run()
+    reference = sorted(
+        [(first, 1, "first"), (far, 2, "far"), (far * 2.0, 3, "farther"),
+         (boundary + late_delay, 4, "late")]
+    )
+    assert order == [(name, when) for when, _, name in reference]
+
+
+def _random_program(seed: int, until: float | None, drive: str) -> list[tuple]:
+    """Trace of a random process program: timeouts, a shared gate,
+    interrupts and processed-target resumes.  ``drive`` picks how the queue drains —
+    the inlined ``run()`` loop, single ``step()`` calls, or
+    ``run(until=<event>)`` — after an optional ``run(until=<time>)``."""
+    env = Environment()
+    trace: list[tuple] = []
+    rng = random.Random(seed)
+
+    def worker(index: int, steps: list[float]):
+        try:
+            yield gate  # one event, many waiters: callback order shows
+            trace.append((env.now, "gate", index))
+        except Interrupt as exc:
+            trace.append((env.now, "interrupt", index, -1, str(exc)))
+        for number, delay in enumerate(steps):
+            try:
+                yield env.timeout(delay)
+                trace.append((env.now, "step", index, number))
+            except Interrupt as exc:
+                trace.append((env.now, "interrupt", index, number, str(exc)))
+
+    def stale_resume(index: int, target):
+        # Target is already processed by the time we yield it:
+        # exercises the direct-resume (stale-entry-guard) lane.
+        yield env.timeout(rng.uniform(5.0, 10.0))
+        yield target
+        trace.append((env.now, "stale", index))
+
+    def interrupter(victims, delays):
+        for delay in delays:
+            yield env.timeout(delay)
+            alive = [p for p in victims if p.is_alive]
+            if alive:
+                alive[rng.randrange(len(alive))].interrupt("bang")
+                trace.append((env.now, "fired"))
+
+    gate = env.timeout(round(rng.uniform(0.0, 2.0), 3))
+    workers = [
+        env.process(
+            worker(i, [round(rng.uniform(0.0, 4.0), 3) for _ in range(rng.randint(1, 5))])
+        )
+        for i in range(rng.randint(2, 6))
+    ]
+    early = env.timeout(rng.choice([0.0, 1.0]))
+    stale = env.process(stale_resume(99, early))
+    env.process(interrupter(workers, [round(rng.uniform(0.5, 6.0), 3) for _ in range(3)]))
+    env.process(interrupter(workers, [rng.uniform(0.5, 6.0)]))
+    if until is not None:
+        env.run(until=until)
+    if drive == "step":
+        while True:
+            try:
+                env.step()
+            except EmptySchedule:
+                break
+    elif drive == "event":
+        env.run(until=stale)
+        env.run()
+    else:
+        env.run()
+    trace.append((env.now, "end"))
+    return trace
+
+
+_PROGRAMS = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    until=st.one_of(st.none(), st.floats(min_value=0.1, max_value=30.0)),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**_PROGRAMS)
+def test_random_process_programs_repeatable(seed, until):
+    """Fresh environments replay a program identically, and the clock
+    never runs backwards in the trace."""
+    trace = _random_program(seed, until, "run")
+    assert _random_program(seed, until, "run") == trace
+    times = [entry[0] for entry in trace]
+    assert times == sorted(times)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**_PROGRAMS)
+def test_step_and_run_until_event_match_run_drain(seed, until):
+    """``run()`` inlines the dispatch body that ``step()`` and
+    ``run(until=<event>)`` share: the copies must dispatch alike."""
+    reference = _random_program(seed, until, "run")
+    assert _random_program(seed, until, "step") == reference
+    assert _random_program(seed, until, "event") == reference

@@ -11,7 +11,7 @@ from repro.errors import ConfigError
 from repro.ext.population import PopulationCampaign
 from repro.sim.campaign import Campaign, run_together
 from repro.sim.execution import SerialEngine
-from repro.study import Study, get_experiment
+from repro.study import Study, get_experiment, run_experiment
 
 
 class TestStudyConstruction:
@@ -22,6 +22,16 @@ class TestStudyConstruction:
     def test_unknown_param_dies_at_construction(self):
         with pytest.raises(ConfigError, match="clients"):
             Study("fig2", clients=5)
+
+    def test_run_takes_no_kernel_argument(self):
+        with pytest.raises(TypeError, match="kernel"):
+            Study("fig2", trials=1).run(kernel="heapq")
+
+    def test_run_experiment_kernel_is_an_unknown_param(self):
+        """``run_experiment`` forwards unknown keywords to the schema,
+        which names the stray knob instead of ignoring it."""
+        with pytest.raises(ConfigError, match="kernel"):
+            run_experiment("fig2", trials=1, kernel="heapq")
 
     def test_accepts_definition_object(self):
         study = Study(get_experiment("x3"), samples=60)

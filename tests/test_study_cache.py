@@ -4,9 +4,9 @@ The acceptance bar (ISSUE 8): a repeated ``Study.grid(...).run(cache=
 DIR)`` submits ZERO engine work units on the second run and returns an
 identical StudyResult with byte-identical saved archives; a widened
 grid submits only the delta cells; cached and fresh cells are
-bit-identical across the serial/process backends and the heapq/calendar
-kernels; a code edit (fingerprint change) invalidates; corrupt entries
-are quarantined, never served and never fatal.
+bit-identical across the serial/process backends; a code edit
+(fingerprint change) invalidates; corrupt entries are quarantined,
+never served and never fatal.
 """
 
 import json
@@ -175,11 +175,13 @@ class TestCacheHitsAndResume:
         assert serial.cache_info.submitted_units == 0
         assert_identical(pooled, serial)
 
-    @pytest.mark.parametrize("kernel", ["heapq", "calendar"])
-    def test_cache_serves_across_kernels(self, tmp_path, kernel):
-        written = small_grid().run(kernel=kernel, cache=tmp_path)
-        other = "calendar" if kernel == "heapq" else "heapq"
-        served = small_grid().run(kernel=other, cache=tmp_path)
+    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
+    def test_cache_serves_across_ipc_modes(self, tmp_path, ipc):
+        """The cache key excludes the collection mode, so a cell written
+        under one ipc is served under the other."""
+        written = small_grid().run(jobs=2, ipc=ipc, cache=tmp_path)
+        other = "shm" if ipc == "pickle" else "pickle"
+        served = small_grid().run(jobs=2, ipc=other, cache=tmp_path)
         assert served.cache_info.submitted_units == 0
         assert_identical(written, served)
 

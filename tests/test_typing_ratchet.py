@@ -27,7 +27,7 @@ PYPROJECT = REPO_ROOT / "pyproject.toml"
 #: failure by design.
 RATCHET_FLOOR = frozenset(
     {
-        "repro.net.calendar",
+        "repro.net.env",
         "repro.net.events",
         "repro.sim.execution",
         "repro.sim.shm",
